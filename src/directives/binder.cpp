@@ -1,6 +1,7 @@
 #include "directives/binder.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/align_expr.hpp"
 #include "support/error.hpp"
@@ -102,6 +103,10 @@ Index1 Binder::eval(const DirExprPtr& expr) const {
 IndexDomain Binder::bind_dims(const std::vector<AstDim>& dims) const {
   std::vector<Triplet> out;
   out.reserve(dims.size());
+  // The element count is checked here, where a declared shape enters the
+  // model: everything downstream (IndexDomain::size, storage, run tables)
+  // multiplies extents unchecked.
+  Extent elements = 1;
   for (const AstDim& d : dims) {
     if (d.deferred) {
       throw ConformanceError(
@@ -109,6 +114,15 @@ IndexDomain Binder::bind_dims(const std::vector<AstDim>& dims) const {
     }
     const Index1 lower = d.lower ? eval(d.lower) : 1;
     const Index1 upper = eval(d.upper);
+    Extent extent = 0;
+    if (__builtin_sub_overflow(upper, lower, &extent) ||
+        __builtin_add_overflow(extent, 1, &extent) ||
+        __builtin_mul_overflow(elements, std::max<Extent>(extent, 0),
+                               &elements)) {
+      throw ConformanceError(
+          cat("declared shape has more than ",
+              std::numeric_limits<Extent>::max(), " elements"));
+    }
     out.emplace_back(lower, upper);
   }
   return IndexDomain(std::move(out));

@@ -131,10 +131,8 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
     }
   }
 
-  PlanCache& plans = state.plans();
-  std::string key;
-  std::vector<Distribution> pins;
-  if (plans.enabled()) {
+  AssignResult result;
+  auto key = [&] {
     // The shared key builder (exec/comm_plan.cpp) — the same call the
     // static cost model makes over Binder-bound layouts, so predicted plan
     // sharing is the executor's plan sharing by construction.
@@ -146,30 +144,16 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
                             leaf.bytes, posted[l] != 0,
                             &state.shadow_of(leaf.array)});
     }
-    key = assign_plan_key(lhs_dist, lhs_section, bytes, flops, key_leaves,
-                          &pins);
-  }
-
-  AssignResult result;
-  std::shared_ptr<const CommPlan> plan =
-      plans.enabled() ? state.lookup_plan(key) : nullptr;
-  if (plan) {
-    result.step = comm.replay(*plan, step_label);
-  } else {
-    comm.begin_step(step_label);
-    // The LHS write-back (pass 3) runs after the step, so values are safe;
-    // the guard keeps the ENGINE safe — an exception out of the charge
-    // walk or out of end_step (fault exhaustion) aborts the half-charged
-    // step instead of leaving it open with a recording armed.
-    StepGuard guard(comm);
-    auto rec = std::make_shared<CommPlan>();
-    if (plans.enabled()) comm.record_into(rec);
-
+    return assign_plan_key(lhs_dist, lhs_section, bytes, flops, key_leaves);
+  };
+  auto charge = [&](CommPlan&) {
     // Run tables over the LHS section and every RHS operand section. All
     // sections conform, so one linear position space [0, size) indexes them
     // all; communication is decided per constant-owner segment, not per
-    // element — by the shared charge walk (exec/pricing.hpp), the same
-    // loop the static cost model drives with a storage-free pricer.
+    // element — by the shared charge walk (exec/pricing.hpp), the same loop
+    // the static cost model drives with a storage-free pricer. The LHS
+    // write-back (pass 3) runs after the step, so values are safe if the
+    // walk throws.
     const LayoutView lhs_view(lhs_dist, lhs_section);
     std::vector<LayoutView> leaf_views;
     std::vector<Extent> leaf_bytes;
@@ -181,17 +165,12 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
     }
     charge_assign_step(lhs_view, leaf_views, leaf_bytes, posted, bytes, flops,
                        comm);
-    result.step = comm.end_step();
-    guard.dismiss();
-    if (plans.enabled()) {
-      state.publish_plan(key, std::move(rec), std::move(pins));
-    }
-
     result.ownership_queries = lhs_view.ownership_queries();
     for (const LayoutView& v : leaf_views) {
       result.ownership_queries += v.ownership_queries();
     }
-  }
+  };
+  result.step = state.price_step(step_label, key, charge).step;
   result.pricing_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - price_start)
                           .count();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace hpfnt {
@@ -25,17 +26,6 @@ bool CommPlan::references_any(const std::vector<ApId>& failed) const {
   return false;
 }
 
-bool has_structural_signature(const Distribution& dist) {
-  // Every valid payload now carries a content signature
-  // (Distribution::append_plan_signature): formats serialize their
-  // specification with table-backed formats entering as memoized digests,
-  // constructed payloads compose α with the base, section views compose
-  // their triplets with the parent, explicit payloads digest their owner
-  // table. Address+generation keying remains only as the fallback for an
-  // invalid distribution (which no caller should pass).
-  return dist.has_plan_signature();
-}
-
 void PlanKey::add_tag(const char* tag) {
   key_ += tag;
   key_ += ';';
@@ -53,36 +43,16 @@ void PlanKey::add_section(const std::vector<Triplet>& section) {
 }
 
 void PlanKey::add_distribution(const Distribution& dist) {
-  if (dist.has_plan_signature()) {
-    dist.append_plan_signature(key_);
-    return;
+  if (!dist.valid()) {
+    throw InternalError("plan key over an undistributed layout");
   }
-  // Fallback for payload kinds without a content signature (none today).
-  // Address keying alone would alias if the payload died and a different
-  // one were allocated at the same address; the process-unique generation
-  // id makes the key valid for exactly one payload lifetime. The pin keeps
-  // the payload (and its run-table memo) alive while the plan does.
-  key_ += 'P';
-  append_raw(key_, dist.payload_identity());
-  append_raw(key_, static_cast<Extent>(dist.payload_generation()));
-  pins_.push_back(dist);
+  dist.append_plan_signature(key_);
 }
-
-namespace {
-
-void take_pins_into(PlanKey& k, std::vector<Distribution>* pins) {
-  if (pins) {
-    *pins = k.take_pins();
-  }
-}
-
-}  // namespace
 
 std::string assign_plan_key(const Distribution& lhs_dist,
                             const std::vector<Triplet>& lhs_section,
                             Extent elem_bytes, Extent flops,
-                            const std::vector<AssignKeyLeaf>& leaves,
-                            std::vector<Distribution>* pins) {
+                            const std::vector<AssignKeyLeaf>& leaves) {
   PlanKey k;
   k.add_tag("assign");
   k.add_distribution(lhs_dist);
@@ -106,19 +76,16 @@ std::string assign_plan_key(const Distribution& lhs_dist,
       }
     }
   }
-  take_pins_into(k, pins);
   return k.str();
 }
 
 std::string remap_plan_key(const Distribution& from, const Distribution& to,
-                           Extent elem_bytes,
-                           std::vector<Distribution>* pins) {
+                           Extent elem_bytes) {
   PlanKey k;
   k.add_tag("remap");
   k.add_distribution(from);
   k.add_distribution(to);
   k.add_scalar(elem_bytes);
-  take_pins_into(k, pins);
   return k.str();
 }
 
@@ -126,8 +93,7 @@ std::string copy_plan_key(const Distribution& dst_dist,
                           const std::vector<Triplet>& dst_section,
                           const Distribution& src_dist,
                           const std::vector<Triplet>& src_section,
-                          Extent elem_bytes,
-                          std::vector<Distribution>* pins) {
+                          Extent elem_bytes) {
   PlanKey k;
   k.add_tag("copy");
   k.add_distribution(dst_dist);
@@ -135,19 +101,11 @@ std::string copy_plan_key(const Distribution& dst_dist,
   k.add_distribution(src_dist);
   k.add_section(src_section);
   k.add_scalar(elem_bytes);
-  take_pins_into(k, pins);
   return k.str();
 }
 
 std::shared_ptr<const CommPlan> PlanCache::lookup(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.pos);  // promote to front
-  return it->second.plan;
+  return find(key, nullptr);
 }
 
 std::shared_ptr<const CommPlan> PlanCache::lookup(const std::string& key,
@@ -155,40 +113,41 @@ std::shared_ptr<const CommPlan> PlanCache::lookup(const std::string& key,
   // One consistent snapshot for the whole check; a concurrent epoch bump
   // is seen wholly or not at all (machine/topology.hpp).
   const std::shared_ptr<const FailureSet> snap = topo.failures();
-  if (!snap->any()) return lookup(key);
+  return find(key, snap->any() ? &snap->failed : nullptr);
+}
 
+std::shared_ptr<const CommPlan> PlanCache::find(
+    const std::string& key, const std::vector<ApId>* failed) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
     return nullptr;
   }
   Entry& e = it->second;
-  if (e.validated_epoch != snap->epoch) {
-    if (e.plan->references_any(snap->failed)) {
-      // The schedule names a dead processor: drop it so it can never
-      // replay. The caller re-prices against the surviving topology and
-      // re-inserts under the same key if the layouts still produce it.
-      lru_.erase(e.pos);
-      entries_.erase(it);
-      ++invalidations_;
-      ++misses_;
-      return nullptr;
-    }
-    e.validated_epoch = snap->epoch;  // fast path for repeat lookups
+  if (failed && e.plan->references_any(*failed)) {
+    // The schedule names a dead processor: drop it so it can never
+    // replay. The caller re-prices against the surviving topology and
+    // re-inserts under the same key if the layouts still produce it.
+    lru_.erase(e.pos);
+    entries_.erase(it);
+    ++invalidations_;
+    ++misses_;
+    return nullptr;
   }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, e.pos);
+  lru_.splice(lru_.begin(), lru_, e.pos);  // promote to front
   return e.plan;
 }
 
 void PlanCache::insert(const std::string& key,
-                       std::shared_ptr<const CommPlan> plan,
-                       std::vector<Distribution> pinned) {
+                       std::shared_ptr<const CommPlan> plan) {
   if (!plan || !plan->sealed) return;  // never cache an unsealed schedule
+  ++inserts_;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
+    // Interchangeable by construction (the key is the schedule's content
+    // signature), so refreshing is only bookkeeping.
     it->second.plan = std::move(plan);
-    it->second.pinned = std::move(pinned);
     lru_.splice(lru_.begin(), lru_, it->second.pos);
     return;
   }
@@ -197,19 +156,18 @@ void PlanCache::insert(const std::string& key,
   // arrays in the same loop are replaying, and the replayed (recently
   // touched) plans are exactly the ones LRU order protects. An unlucky
   // eviction of a hot plan just re-prices one step.
-  while (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-  }
+  evict_to(capacity_ - 1);
   lru_.push_front(key);
-  entries_.emplace(key, Entry{std::move(plan), std::move(pinned),
-                              lru_.begin()});
+  entries_.emplace(key, Entry{std::move(plan), lru_.begin()});
 }
 
 void PlanCache::set_capacity(std::size_t capacity) {
   capacity_ = capacity < 1 ? 1 : capacity;
-  while (entries_.size() > capacity_) {
+  evict_to(capacity_);
+}
+
+void PlanCache::evict_to(std::size_t size) {
+  while (entries_.size() > size) {
     entries_.erase(lru_.back());
     lru_.pop_back();
     ++evictions_;

@@ -36,26 +36,28 @@
 //     last call's, and call N>1 replays call 1's argument-copy plans;
 //   * explicit payloads digest their (canonicalized) owner table.
 //
-// Address + process-unique generation-id keying (with the Distribution
-// pinned by the entry) survives only as the fallback for a payload kind
-// without a signature — none today.
+// A key is content and nothing more: an invalid (undistributed) layout has
+// no signature and PlanKey refuses it with an InternalError.
 //
 // The cache is a size-bounded LRU: lookups promote, inserts evict the
 // least-recently-used entry, and hit/miss/evict counters are exposed for
 // the benches. Long interp sessions that churn section-view dummies
 // therefore stay bounded no matter how many distinct schedules they price.
 //
-// The PlanCache is also the L1 of a two-level hierarchy: because every key
-// is a pure content signature, a sealed plan is valid for ANY session whose
-// layouts match, and ProgramState::lookup_plan/publish_plan consult a
-// process-wide sharded PlanService (service/plan_service.hpp) as the shared
-// L2 behind this cache — an L1 miss takes one shard lock, a service hit
-// back-fills the L1, and a cold miss publishes the freshly priced plan to
-// both levels.
+// PlanCache is the one plan store of a two-level hierarchy. Each session
+// owns one as its unlocked L1, and every shard of the process-wide
+// PlanService (service/plan_service.hpp) is a PlanCache behind a mutex —
+// the shared L2. Because every key is a pure content signature, a sealed
+// plan is valid for ANY session whose layouts match: an L1 miss takes one
+// shard lock, a service hit back-fills the L1, and a cold miss publishes
+// the freshly priced plan to both levels. Both levels apply the same
+// dead-processor rule (PlanCache::lookup with a Machine).
 //
-// Consulted by assign_impl (exec/assign.cpp), ProgramState::copy_section,
-// and ProgramState::apply_remap (exec/storage.cpp) — the latter two carry
-// the procedure-argument path (enter_call/exit_call, call-site remaps).
+// ProgramState::price_step (exec/storage.hpp) is the one replay-or-price
+// protocol over both levels, driven by assign (exec/assign.cpp),
+// ProgramState::copy_section and ProgramState::apply_remap — the latter two
+// carry the procedure-argument path (enter_call/exit_call, call-site
+// remaps).
 #pragma once
 
 #include <functional>
@@ -138,18 +140,9 @@ struct CommPlan {
   bool references_any(const std::vector<ApId>& failed) const;
 };
 
-/// True when the payload's schedule-relevant state is fully captured by a
-/// compact content signature — a thin alias for
-/// Distribution::has_plan_signature, kept because the exec layer and its
-/// tests reason about plan keys through this header. True for every valid
-/// distribution since table-backed payloads gained content digests.
-bool has_structural_signature(const Distribution& dist);
-
 /// Builds the cache key of one priced step from its pricing inputs. Every
-/// distribution the schedule depends on must be added; payloads with a
-/// content signature (all of them today) key by value so structurally
-/// equal layouts share plans, anything else keys by address + generation
-/// id and is collected as a pin.
+/// distribution the schedule depends on must be added; each keys by its
+/// content signature, so structurally equal layouts share plans.
 class PlanKey {
  public:
   PlanKey() { key_.reserve(256); }
@@ -157,14 +150,13 @@ class PlanKey {
   void add_tag(const char* tag);
   void add_scalar(Extent v);
   void add_section(const std::vector<Triplet>& section);
+  /// Throws InternalError for an invalid distribution (no signature).
   void add_distribution(const Distribution& dist);
 
   const std::string& str() const noexcept { return key_; }
-  std::vector<Distribution> take_pins() { return std::move(pins_); }
 
  private:
   std::string key_;
-  std::vector<Distribution> pins_;
 };
 
 /// One RHS operand's contribution to an assignment plan key: its layout,
@@ -183,49 +175,47 @@ struct AssignKeyLeaf {
 /// nowhere else, consumed by the executor (exec/assign.cpp,
 /// exec/storage.cpp) and by the static cost model
 /// (analysis/cost_model.hpp). Because both sides call the same builder
-/// over content signatures (address-free for every payload kind today),
-/// the cost model's predicted plan sharing is the executor's plan sharing
-/// by construction; tests/test_cost_model.cpp pins the key-for-key match
-/// against the PlanCache anyway. `pins`, when non-null, collects any
-/// address-keyed Distributions (none today) for PlanCache::insert.
+/// over address-free content signatures, the cost model's predicted plan
+/// sharing is the executor's plan sharing by construction;
+/// tests/test_cost_model.cpp checks the key-for-key match against the
+/// PlanCache anyway.
 std::string assign_plan_key(const Distribution& lhs_dist,
                             const std::vector<Triplet>& lhs_section,
                             Extent elem_bytes, Extent flops,
-                            const std::vector<AssignKeyLeaf>& leaves,
-                            std::vector<Distribution>* pins = nullptr);
+                            const std::vector<AssignKeyLeaf>& leaves);
 std::string remap_plan_key(const Distribution& from, const Distribution& to,
-                           Extent elem_bytes,
-                           std::vector<Distribution>* pins = nullptr);
+                           Extent elem_bytes);
 std::string copy_plan_key(const Distribution& dst_dist,
                           const std::vector<Triplet>& dst_section,
                           const Distribution& src_dist,
                           const std::vector<Triplet>& src_section,
-                          Extent elem_bytes,
-                          std::vector<Distribution>* pins = nullptr);
+                          Extent elem_bytes);
 
-/// Size-bounded LRU memo of sealed plans, keyed by PlanKey strings.
+/// Size-bounded LRU memo of sealed plans, keyed by PlanKey strings — the
+/// one plan store, used as a session's L1 and as each PlanService shard.
 /// Lookups promote the entry to most-recently-used; inserts evict from the
 /// LRU tail, so the replayed plans of a hot loop are exactly the ones that
-/// survive. Entries pin any address-keyed Distributions they were priced
-/// from, so a payload address in a key can never be recycled while its
-/// plan is alive. Hit/miss/evict counters are exposed for the benches.
+/// survive. Counters are monotonic (clear() keeps them) and exposed for
+/// the benches and the service's stats. Not thread-safe: PlanService
+/// guards each shard's cache with the shard's mutex.
 class PlanCache {
  public:
   /// The sealed plan for `key`, or null. Counts a hit or a miss.
   std::shared_ptr<const CommPlan> lookup(const std::string& key);
 
-  /// Epoch-checked lookup (src/fault/): on a machine with failed
-  /// processors, an entry whose plan references any of them is erased and
-  /// the lookup misses — a stale schedule must never replay after
-  /// fail_processor. Entries surviving the check are stamped with the
-  /// machine's topology epoch so repeat lookups at the same epoch skip the
-  /// intersection; a machine with no failures takes the plain lookup path
-  /// unchanged.
+  /// Lookup under the dead-processor rule (src/fault/): on a machine with
+  /// failed processors, an entry whose plan references any of them is
+  /// erased, counted as an invalidation, and the lookup misses — a stale
+  /// schedule must never replay after fail_processor. The check re-runs on
+  /// every lookup, because one cache may serve sessions on different
+  /// machines; a machine with no failures takes the plain path.
   std::shared_ptr<const CommPlan> lookup(const std::string& key,
                                          const Machine& topo);
 
-  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan,
-              std::vector<Distribution> pinned);
+  /// Stores a sealed plan (null and unsealed plans are ignored). A
+  /// re-insert of an existing key refreshes the entry and promotes it;
+  /// both count as an insert.
+  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan);
 
   /// Caching can be disabled (benchmark baselines price every step cold).
   bool enabled() const noexcept { return enabled_; }
@@ -233,6 +223,7 @@ class PlanCache {
 
   Extent hits() const noexcept { return hits_; }
   Extent misses() const noexcept { return misses_; }
+  Extent inserts() const noexcept { return inserts_; }
   Extent evictions() const noexcept { return evictions_; }
   Extent invalidations() const noexcept { return invalidations_; }
   std::size_t size() const noexcept { return entries_.size(); }
@@ -242,6 +233,7 @@ class PlanCache {
   std::size_t capacity() const noexcept { return capacity_; }
   void set_capacity(std::size_t capacity);
 
+  /// Drops every cached plan; the counters keep their values.
   void clear();
 
   /// Visits every cached plan (test/diagnostic use).
@@ -254,15 +246,20 @@ class PlanCache {
 
   struct Entry {
     std::shared_ptr<const CommPlan> plan;
-    std::vector<Distribution> pinned;
     std::list<std::string>::iterator pos;  // position in lru_
-    Extent validated_epoch = 0;  // last topology epoch the plan survived
   };
+
+  /// The one lookup: `failed`, when non-null, is the machine's sorted
+  /// failed set and drops an entry whose plan references it.
+  std::shared_ptr<const CommPlan> find(const std::string& key,
+                                       const std::vector<ApId>* failed);
+  void evict_to(std::size_t size);
 
   bool enabled_ = true;
   std::size_t capacity_ = kDefaultCapacity;
   Extent hits_ = 0;
   Extent misses_ = 0;
+  Extent inserts_ = 0;
   Extent evictions_ = 0;
   Extent invalidations_ = 0;
   std::list<std::string> lru_;  // front = most recently used

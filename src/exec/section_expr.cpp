@@ -227,8 +227,12 @@ const SecProgram& SecExpr::program() const {
   return *prog;
 }
 
-void SecProgram::eval_segment(const Operand* operands, Extent count,
-                              double* out, double* regs) const {
+// Pinned to a 64-byte boundary: the strided loops below are the hot kernel
+// of every warm step, and where unrelated code changes happened to place
+// them relative to the fetch lines moved a 256 x 256 Jacobi step by ~35%
+// (Intel Xeon, GCC 12.2, -O2).
+__attribute__((aligned(64))) void SecProgram::eval_segment(
+    const Operand* operands, Extent count, double* out, double* regs) const {
   // Register slot 0 is the output buffer itself, so the final result needs
   // no copy; slots 1.. live in the caller's register file.
   auto slot = [&](int i) { return i == 0 ? out : regs + (i - 1) * count; };

@@ -17,7 +17,6 @@ ProgramState::ProgramState(Machine& machine)
 
 std::shared_ptr<const CommPlan> ProgramState::lookup_plan(
     const std::string& key) {
-  if (!plans_.enabled()) return nullptr;
   // Both levels consult the machine's failure state: after fail_processor,
   // a cached plan referencing the lost processor is dropped at lookup and
   // can never replay (the fault-free machine takes the plain path inside).
@@ -29,7 +28,7 @@ std::shared_ptr<const CommPlan> ProgramState::lookup_plan(
             service_->lookup(key, *machine_)) {
       // Back-fill the session L1 so this session's next touch of the key
       // replays without a shard lock (the warm path of a hot loop).
-      plans_.insert(key, plan, {});
+      plans_.insert(key, plan);
       return plan;
     }
   }
@@ -37,11 +36,9 @@ std::shared_ptr<const CommPlan> ProgramState::lookup_plan(
 }
 
 void ProgramState::publish_plan(const std::string& key,
-                                std::shared_ptr<const CommPlan> plan,
-                                std::vector<Distribution> pinned) {
-  if (!plans_.enabled() || !plan || !plan->sealed) return;
-  if (service_) service_->insert(key, plan, pinned);
-  plans_.insert(key, std::move(plan), std::move(pinned));
+                                const std::shared_ptr<const CommPlan>& plan) {
+  if (service_) service_->insert(key, plan);
+  plans_.insert(key, plan);
 }
 
 ProgramState::Store& ProgramState::store(ArrayId id) {
@@ -316,68 +313,36 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
 
   // The schedule (and the memory deltas) depend only on the two layouts
   // and the element size: a recurring remap — the flip-flop of an
-  // iterative REDISTRIBUTE — replays its plan.
-  std::string key;
-  std::vector<Distribution> pins;
-  const bool cacheable = plans_.enabled();
-  if (cacheable) {
-    key = remap_plan_key(event.from, event.to, s.elem_bytes, &pins);
-    if (std::shared_ptr<const CommPlan> plan = lookup_plan(key)) {
-      // Replay FIRST: it is the only throwing operation on this path (an
-      // exhausted retry budget under fault injection), and nothing has
-      // been mutated yet when it throws.
-      StepStats step = comm_.replay(*plan, label);
-      // Ghost cells follow the layout: release under the old distribution
-      // before the move, re-materialize under the new one after. This
-      // happens outside the plan in both the warm and cold paths, so the
-      // recorded mem_ops stay layout-only and the interleaving (and thus
-      // the peak gauges) is identical either way.
-      account_shadow(s, /*allocate=*/false);
-      // Replay the memory deltas in recorded order: peak gauges depend on
-      // the allocate/release interleaving, not just the totals.
-      for (const PlanMemOp& op : plan->mem_ops) {
-        if (op.delta >= 0) {
-          memory_.allocate(op.p, op.delta);
-        } else {
-          memory_.release(op.p, -op.delta);
-        }
-      }
-      s.dist = event.to;
-      account_shadow(s, /*allocate=*/true);
-      return step;
-    }
-  }
+  // iterative REDISTRIBUTE — replays its plan. The run-table walk and the
+  // step pricing can throw (conformance checks, fault exhaustion), so the
+  // walk only collects the memory deltas into the plan; they are applied
+  // once the step has sealed or replayed, and an unwind leaves layout,
+  // memory gauges, and engine totals exactly as before the call.
+  auto key = [&] {
+    return remap_plan_key(event.from, event.to, s.elem_bytes);
+  };
+  auto charge = [&](CommPlan& rec) {
+    // Walk the two layouts' run tables in lock step: every common segment
+    // has constant owner sets on both sides, so each (mover, destination)
+    // pair is priced once per segment with the element count. The walk
+    // itself is the shared charge_remap_step (exec/pricing.hpp); only the
+    // memory accounting — replicas appearing on new owners, disappearing
+    // from old — is the executor's to fold in, in charge order.
+    charge_remap_step(LayoutView::whole(event.from),
+                      LayoutView::whole(event.to), s.elem_bytes, comm_,
+                      [&](ApId p, Extent delta) {
+                        rec.mem_ops.push_back({p, delta});
+                      });
+  };
+  const PricedStep priced = price_step(label, key, charge);
 
-  // Cold path: stage, then commit. The run-table walk and the step pricing
-  // can throw (conformance checks, fault exhaustion at end_step), so the
-  // memory deltas are only collected during the walk and applied — in
-  // recorded charge order, after the shadow release, exactly the warm
-  // path's sequence — once the step has sealed. An unwind through the
-  // guard aborts the half-charged step and leaves layout, memory gauges,
-  // and engine totals exactly as before the call.
-  std::vector<PlanMemOp> staged_ops;
-  comm_.begin_step(label);
-  StepGuard guard(comm_);
-  auto rec = std::make_shared<CommPlan>();
-  if (cacheable) comm_.record_into(rec);
-  // Walk the two layouts' run tables in lock step: every common segment has
-  // constant owner sets on both sides, so each (mover, destination) pair is
-  // priced once per segment with the element count. The walk itself is the
-  // shared charge_remap_step (exec/pricing.hpp); only the memory
-  // accounting — replicas appearing on new owners, disappearing from old —
-  // is the executor's to fold in, in charge order.
-  const LayoutView from_view = LayoutView::whole(event.from);
-  const LayoutView to_view = LayoutView::whole(event.to);
-  charge_remap_step(from_view, to_view, s.elem_bytes, comm_,
-                    [&](ApId p, Extent delta) {
-                      staged_ops.push_back({p, delta});
-                      if (cacheable) rec->mem_ops.push_back({p, delta});
-                    });
-  StepStats step = comm_.end_step();
-  guard.dismiss();
-
+  // Ghost cells follow the layout: release under the old distribution
+  // before the move, re-materialize under the new one after. This happens
+  // outside the plan, so the recorded mem_ops stay layout-only. The memory
+  // deltas apply in recorded order, warm or cold: peak gauges depend on the
+  // allocate/release interleaving, not just the totals.
   account_shadow(s, /*allocate=*/false);
-  for (const PlanMemOp& op : staged_ops) {
+  for (const PlanMemOp& op : priced.plan->mem_ops) {
     if (op.delta >= 0) {
       memory_.allocate(op.p, op.delta);
     } else {
@@ -386,8 +351,7 @@ StepStats ProgramState::apply_remap(const RemapEvent& event,
   }
   s.dist = event.to;
   account_shadow(s, /*allocate=*/true);
-  if (cacheable) publish_plan(key, std::move(rec), std::move(pins));
-  return step;
+  return priced.step;
 }
 
 StepStats ProgramState::copy_section(const DistArray& dst,
@@ -409,14 +373,6 @@ StepStats ProgramState::copy_section(const DistArray& dst,
         "dimensions)");
   }
 
-  std::string key;
-  std::vector<Distribution> pins;
-  const bool cacheable = plans_.enabled();
-  if (cacheable) {
-    key = copy_plan_key(d.dist, dst_section, s.dist, src_section,
-                        d.elem_bytes, &pins);
-  }
-
   // RHS snapshot first (Fortran semantics for overlapping sections), one
   // flat strided segment at a time into the reusable staging buffer.
   std::vector<double>& staged = scratch_.staged;
@@ -427,30 +383,22 @@ StepStats ProgramState::copy_section(const DistArray& dst,
     staged_at += seg.count;
   });
 
-  StepStats step;
-  std::shared_ptr<const CommPlan> plan =
-      cacheable ? lookup_plan(key) : nullptr;
-  if (plan) {
-    // A throwing replay (fault exhaustion) lands before the write-back
-    // below: the destination is untouched, only the scratch staging moved.
-    step = comm_.replay(*plan, label);
-  } else {
-    comm_.begin_step(label);
-    StepGuard guard(comm_);
-    auto rec = std::make_shared<CommPlan>();
-    if (cacheable) comm_.record_into(rec);
+  // A throwing step (fault exhaustion) lands before the write-back below:
+  // the destination is untouched, only the scratch staging moved.
+  auto key = [&] {
+    return copy_plan_key(d.dist, dst_section, s.dist, src_section,
+                         d.elem_bytes);
+  };
+  auto charge = [&](CommPlan&) {
     // Charge per common constant-owner segment of the two sections' run
     // tables (the shared charge_copy_step, exec/pricing.hpp): destination
     // owners that do not already hold the value receive the whole segment
     // from the sources' canonical (minimum) replica; owners that do hold it
     // read it locally — the statistics assign keeps.
-    const LayoutView dst_view(d.dist, dst_section);
-    const LayoutView src_view(s.dist, src_section);
-    charge_copy_step(dst_view, src_view, d.elem_bytes, comm_);
-    step = comm_.end_step();
-    guard.dismiss();
-    if (cacheable) publish_plan(key, std::move(rec), std::move(pins));
-  }
+    charge_copy_step(LayoutView(d.dist, dst_section),
+                     LayoutView(s.dist, src_section), d.elem_bytes, comm_);
+  };
+  const StepStats step = price_step(label, key, charge).step;
 
   Extent written = 0;
   for_each_segment(d.domain, dst_section, [&](const FlatSegment& seg) {

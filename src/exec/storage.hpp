@@ -54,9 +54,9 @@ class ProgramState {
 
   /// The session-local (L1) memo of this state's priced steps
   /// (exec/comm_plan.hpp). Consulted by assign, copy_section, and
-  /// apply_remap through lookup_plan/publish_plan below; enabled by
-  /// default. Disabling it disables plan caching entirely (the shared
-  /// service is only consulted behind it).
+  /// apply_remap through price_step below; enabled by default. Disabling
+  /// it disables plan caching entirely (the shared service is only
+  /// consulted behind it).
   PlanCache& plans() noexcept { return plans_; }
   const PlanCache& plans() const noexcept { return plans_; }
 
@@ -69,17 +69,26 @@ class ProgramState {
   void set_plan_service(PlanService* service) noexcept { service_ = service; }
   PlanService* plan_service() const noexcept { return service_; }
 
-  /// L1 → L2 plan consultation (see exec/comm_plan.hpp for the hierarchy).
-  /// Returns the sealed plan for `key` or null; a service hit back-fills
-  /// the L1 so the next lookup of this key takes no shard lock. Null when
-  /// the L1 is disabled.
-  std::shared_ptr<const CommPlan> lookup_plan(const std::string& key);
+  /// One priced step and the plan it was priced from: the cached plan it
+  /// replayed, or the one its cold pricing recorded.
+  struct PricedStep {
+    StepStats step;
+    std::shared_ptr<const CommPlan> plan;
+  };
 
-  /// Publishes a freshly priced plan to the L1 and (when attached) the
-  /// shared service. No-op when the L1 is disabled or the plan is unsealed.
-  void publish_plan(const std::string& key,
-                    std::shared_ptr<const CommPlan> plan,
-                    std::vector<Distribution> pinned);
+  /// The one replay-or-price protocol of assign, copy_section and
+  /// apply_remap. With caching enabled, `key()` builds the step's content
+  /// key and both cache levels are consulted: a hit replays the sealed
+  /// plan. Otherwise the step prices cold: `charge(rec)` walks it into the
+  /// open engine step (recorded into `rec` when caching is enabled, and
+  /// free to append the remap memory deltas to rec.mem_ops), end_step seals
+  /// it, and the plan is published to both levels. Callers apply their own
+  /// side effects after the return, from the returned plan warm or cold,
+  /// so both paths see one order. An exception out of the replay, `charge`
+  /// or end_step leaves no step open and publishes nothing.
+  template <class KeyFn, class ChargeFn>
+  PricedStep price_step(const std::string& label, KeyFn&& key,
+                        ChargeFn&& charge);
 
   /// Allocates storage for a created array, laid out by its current
   /// distribution in `env`. Elements start at 0.0.
@@ -221,6 +230,16 @@ class ProgramState {
   /// Throws InternalError when the segment leaves [0, values.size()).
   static void check_segment(const Store& s, const FlatSegment& seg);
 
+  /// L1 → L2 plan consultation (see exec/comm_plan.hpp for the hierarchy).
+  /// Returns the sealed plan for `key` or null; a service hit back-fills
+  /// the L1 so the next lookup of this key takes no shard lock.
+  std::shared_ptr<const CommPlan> lookup_plan(const std::string& key);
+
+  /// Publishes a freshly priced plan to the L1 and (when attached) the
+  /// shared service.
+  void publish_plan(const std::string& key,
+                    const std::shared_ptr<const CommPlan>& plan);
+
   Machine* machine_;
   CommEngine comm_;
   MemoryTracker memory_;
@@ -229,5 +248,35 @@ class ProgramState {
   ScratchArena scratch_;
   std::unordered_map<ArrayId, Store> stores_;
 };
+
+template <class KeyFn, class ChargeFn>
+ProgramState::PricedStep ProgramState::price_step(const std::string& label,
+                                                  KeyFn&& key,
+                                                  ChargeFn&& charge) {
+  const bool cacheable = plans_.enabled();
+  std::string k;
+  if (cacheable) {
+    k = key();
+    if (std::shared_ptr<const CommPlan> plan = lookup_plan(k)) {
+      // Replay is the only throwing operation on this path (an exhausted
+      // retry budget under fault injection), and nothing has been mutated
+      // yet when it throws.
+      StepStats step = comm_.replay(*plan, label);
+      return {std::move(step), std::move(plan)};
+    }
+  }
+  comm_.begin_step(label);
+  // An exception out of the charge walk or out of end_step (fault
+  // exhaustion) unwinds through the guard, which aborts the half-charged
+  // step instead of leaving it open with a recording armed.
+  StepGuard guard(comm_);
+  auto rec = std::make_shared<CommPlan>();
+  if (cacheable) comm_.record_into(rec);
+  charge(*rec);
+  StepStats step = comm_.end_step();
+  guard.dismiss();
+  if (cacheable) publish_plan(k, rec);
+  return {std::move(step), std::move(rec)};
+}
 
 }  // namespace hpfnt

@@ -9,46 +9,43 @@ namespace hpfnt {
 
 // --- PlanServiceStats --------------------------------------------------------
 
-Extent PlanServiceStats::hits() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.hits;
+namespace {
+
+template <class T>
+T total(const std::vector<PlanShardStats>& shards, T PlanShardStats::*field) {
+  T n = 0;
+  for (const PlanShardStats& s : shards) n += s.*field;
   return n;
+}
+
+}  // namespace
+
+Extent PlanServiceStats::hits() const noexcept {
+  return total(shards, &PlanShardStats::hits);
 }
 
 Extent PlanServiceStats::misses() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.misses;
-  return n;
+  return total(shards, &PlanShardStats::misses);
 }
 
 Extent PlanServiceStats::inserts() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.inserts;
-  return n;
+  return total(shards, &PlanShardStats::inserts);
 }
 
 Extent PlanServiceStats::evictions() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.evictions;
-  return n;
+  return total(shards, &PlanShardStats::evictions);
 }
 
 Extent PlanServiceStats::invalidations() const noexcept {
-  Extent n = 0;
-  for (const PlanShardStats& s : shards) n += s.invalidations;
-  return n;
+  return total(shards, &PlanShardStats::invalidations);
 }
 
 std::size_t PlanServiceStats::size() const noexcept {
-  std::size_t n = 0;
-  for (const PlanShardStats& s : shards) n += s.size;
-  return n;
+  return total(shards, &PlanShardStats::size);
 }
 
 std::size_t PlanServiceStats::capacity() const noexcept {
-  std::size_t n = 0;
-  for (const PlanShardStats& s : shards) n += s.capacity;
-  return n;
+  return total(shards, &PlanShardStats::capacity);
 }
 
 double PlanServiceStats::hit_rate() const noexcept {
@@ -107,12 +104,8 @@ std::string PlanServiceStats::to_string() const {
 // --- PlanService -------------------------------------------------------------
 
 PlanService::PlanService(PlanServiceConfig config)
-    : shard_capacity_(config.shard_capacity < 1 ? 1 : config.shard_capacity) {
-  const std::size_t n = config.shards < 1 ? 1 : config.shards;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+    : shards_(config.shards < 1 ? 1 : config.shards) {
+  for (Shard& shard : shards_) shard.cache.set_capacity(config.shard_capacity);
 }
 
 std::size_t PlanService::shard_of(const std::string& key) const noexcept {
@@ -123,94 +116,41 @@ std::size_t PlanService::shard_of(const std::string& key) const noexcept {
 }
 
 std::shared_ptr<const CommPlan> PlanService::lookup(const std::string& key) {
-  Shard& shard = *shards_[shard_of(key)];
+  Shard& shard = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-  return it->second.plan;
+  return shard.cache.lookup(key);
 }
 
 std::shared_ptr<const CommPlan> PlanService::lookup(const std::string& key,
                                                     const Machine& topo) {
-  const std::shared_ptr<const FailureSet> snap = topo.failures();
-  if (!snap->any()) return lookup(key);
-
-  Shard& shard = *shards_[shard_of(key)];
+  Shard& shard = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  if (it->second.plan->references_any(snap->failed)) {
-    shard.lru.erase(it->second.pos);
-    shard.entries.erase(it);
-    ++shard.invalidations;
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-  return it->second.plan;
+  return shard.cache.lookup(key, topo);
 }
 
 void PlanService::insert(const std::string& key,
-                         std::shared_ptr<const CommPlan> plan,
-                         std::vector<Distribution> pinned) {
-  if (!plan || !plan->sealed) return;  // never serve an unsealed schedule
-  Shard& shard = *shards_[shard_of(key)];
+                         std::shared_ptr<const CommPlan> plan) {
+  Shard& shard = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.inserts;
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    // A racing session priced the same content; the plans are
-    // interchangeable (the key is the schedule's content signature), so
-    // refreshing is only bookkeeping.
-    it->second.plan = std::move(plan);
-    it->second.pinned = std::move(pinned);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-    return;
-  }
-  while (shard.entries.size() >= shard_capacity_) {
-    shard.entries.erase(shard.lru.back());
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-  shard.lru.push_front(key);
-  shard.entries.emplace(
-      key, Entry{std::move(plan), std::move(pinned), shard.lru.begin()});
+  shard.cache.insert(key, std::move(plan));
 }
 
 PlanServiceStats PlanService::stats() const {
   PlanServiceStats out;
   out.shards.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& sp : shards_) {
-    const Shard& shard = *sp;
+  for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    PlanShardStats s;
-    s.hits = shard.hits;
-    s.misses = shard.misses;
-    s.inserts = shard.inserts;
-    s.evictions = shard.evictions;
-    s.invalidations = shard.invalidations;
-    s.size = shard.entries.size();
-    s.capacity = shard_capacity_;
-    out.shards.push_back(s);
+    const PlanCache& c = shard.cache;
+    out.shards.push_back({c.hits(), c.misses(), c.inserts(), c.evictions(),
+                          c.invalidations(), c.size(), c.capacity()});
   }
   return out;
 }
 
 void PlanService::clear() {
-  for (const std::unique_ptr<Shard>& sp : shards_) {
-    Shard& shard = *sp;
+  for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-    shard.lru.clear();
+    shard.cache.clear();
   }
 }
 

@@ -14,8 +14,8 @@
 //       The warm path of a hot loop — the 2nd..Nth Jacobi iteration —
 //       replays from here and never touches a shard lock.
 //   L2  this service: sealed plans hash-sharded by PlanKey across S
-//       independent shards, each with its own mutex-protected LRU
-//       (promote-on-hit, tail eviction, configurable capacity). A session's
+//       independent shards, each a PlanCache — the same LRU and
+//       dead-processor rule as the L1 — behind its own mutex. A session's
 //       first touch of a key misses its L1, takes exactly one shard lock,
 //       and — when any session has priced that content before — replays
 //       warm and back-fills its L1. Cold misses price once, publish to both
@@ -32,17 +32,14 @@
 //
 // Thread-safety contract: lookup/insert/stats/clear are safe to call from
 // any number of threads concurrently. The plans handed out are immutable
-// (sealed CommPlans behind shared_ptr<const>), and the Distributions an
-// entry pins are only ever read. What the service does NOT make safe is
-// sharing one ProgramState between threads — a session is single-threaded;
-// it is the *service* that is shared.
+// (sealed CommPlans behind shared_ptr<const>). What the service does NOT
+// make safe is sharing one ProgramState between threads — a session is
+// single-threaded; it is the *service* that is shared.
 #pragma once
 
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/comm_plan.hpp"
@@ -108,15 +105,11 @@ class PlanService {
   /// key's shard and promotes the entry to most-recently-used.
   std::shared_ptr<const CommPlan> lookup(const std::string& key);
 
-  /// Epoch-checked lookup (src/fault/): on a machine with failed
-  /// processors, a cached plan referencing any of them is erased under the
-  /// shard lock and the lookup misses — the stale schedule can never be
-  /// served again, to this session or any other. Unlike the L1 there is no
-  /// per-entry epoch stamp: the service is multi-tenant and different
-  /// sessions run different machines, so the check re-runs per lookup; the
-  /// common no-failure machine short-circuits to the plain path. Safe to
-  /// call concurrently with fail_processor — the failure snapshot is read
-  /// atomically (machine/topology.hpp).
+  /// Lookup under the dead-processor rule (PlanCache::lookup with a
+  /// Machine), under the shard lock: a plan referencing a failed processor
+  /// is erased and can never be served again, to this session or any
+  /// other. Safe to call concurrently with fail_processor — the failure
+  /// snapshot is read atomically (machine/topology.hpp).
   std::shared_ptr<const CommPlan> lookup(const std::string& key,
                                          const Machine& topo);
 
@@ -124,11 +117,8 @@ class PlanService {
   /// of an existing key refresh the entry and promote it; both count as an
   /// insert. Two sessions racing to publish the same cold key is benign —
   /// the plans are interchangeable by construction (the key IS the content
-  /// signature of the priced schedule). `pinned` carries any address-keyed
-  /// Distributions the plan was priced from (none today; kept so the
-  /// fallback keying stays sound if a signature-less payload kind returns).
-  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan,
-              std::vector<Distribution> pinned = {});
+  /// signature of the priced schedule).
+  void insert(const std::string& key, std::shared_ptr<const CommPlan> plan);
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
@@ -144,28 +134,14 @@ class PlanService {
   void clear();
 
  private:
-  struct Entry {
-    std::shared_ptr<const CommPlan> plan;
-    std::vector<Distribution> pinned;
-    std::list<std::string>::iterator pos;  // position in Shard::lru
-  };
-
   struct Shard {
     mutable std::mutex mu;
-    // Everything below is guarded by mu — stats() snapshots a shard under
-    // the same lock, so a snapshot's counters and occupancy are mutually
-    // consistent. front of lru = most recently used.
-    std::list<std::string> lru;
-    std::unordered_map<std::string, Entry> entries;
-    Extent hits = 0;
-    Extent misses = 0;
-    Extent inserts = 0;
-    Extent evictions = 0;
-    Extent invalidations = 0;
+    // Guarded by mu — stats() snapshots a shard under the same lock, so a
+    // snapshot's counters and occupancy are mutually consistent.
+    PlanCache cache;
   };
 
-  std::size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // Shard is immovable (mutex)
+  std::vector<Shard> shards_;  // sized once; Shard is immovable (mutex)
 };
 
 /// The default process-wide service instance (constructed on first use,

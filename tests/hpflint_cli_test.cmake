@@ -71,6 +71,22 @@ check("oversized line refused with one-line message" has_huge_msg GREATER -1)
 # A directory opens but cannot be read as a script.
 file(MAKE_DIRECTORY "${WORK_DIR}/a_directory.hpf")
 run_hpflint(2 "${WORK_DIR}/a_directory.hpf")
+# A declared shape whose element count overflows 64 bits is a located
+# error in every mode — never a silent wrap, never an abort.
+file(WRITE "${WORK_DIR}/huge_array.hpf"
+     "REAL A(3037000500, 3037000500)\n"
+     "!HPF\$ DISTRIBUTE A(BLOCK, BLOCK)\n"
+     "A(1:2,1) = A(2:3,1)\n")
+foreach(mode "" "--cost" "--exec")
+  execute_process(COMMAND ${HPFLINT} ${mode} "${WORK_DIR}/huge_array.hpf"
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err
+                  RESULT_VARIABLE status)
+  check("huge_array [${mode}]: exit ${status} is a clean failure"
+        status EQUAL 1)
+  string(REGEX MATCH "(:1:|at 1:)[^\n]*more than 9223372036854775807"
+         located "${out}${err}")
+  check("huge_array [${mode}]: overflow reported at line 1" located)
+endforeach()
 
 # --- --json line schema -----------------------------------------------------
 run_hpflint(0 --json "${SCRIPTS}/bad_undershadow.hpf")

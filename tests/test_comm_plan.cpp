@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "core/layout_view.hpp"
@@ -444,42 +445,54 @@ TEST_F(PlanReplayTest, StructurallyEqualFormatsShareOnePlan) {
   EXPECT_EQ(second.ownership_queries, 0);
 }
 
-TEST_F(PlanReplayTest, ContentSignatureCoverage) {
-  // Every payload kind now carries a content plan signature: formats
-  // (including table-backed INDIRECT/USER ones, which digest their bound
-  // owner tables), constructed payloads over any base, section views, and
-  // explicit maps. Nothing falls back to address keying any more.
-  const IndexDomain dom{Dim(1, 16)};
-  const Distribution block = Distribution::formats(
-      dom, {DistFormat::block()}, ProcessorRef(ps_.find("Q")));
-  EXPECT_TRUE(has_structural_signature(block));
-  const Distribution over_block =
-      Distribution::constructed(AlignmentFunction::identity(dom, dom), block);
-  EXPECT_TRUE(has_structural_signature(over_block));
-  const Distribution nested = Distribution::constructed(
-      AlignmentFunction::identity(dom, dom), over_block);
-  EXPECT_TRUE(has_structural_signature(nested));
-  const Distribution indirect = Distribution::formats(
-      dom, {DistFormat::indirect(std::vector<Extent>(16, 1))},
-      ProcessorRef(ps_.find("Q")));
-  EXPECT_TRUE(has_structural_signature(indirect));
-  EXPECT_TRUE(has_structural_signature(Distribution::constructed(
-      AlignmentFunction::identity(dom, dom), indirect)));
-  EXPECT_TRUE(has_structural_signature(block.materialize()));
-  EXPECT_TRUE(
-      has_structural_signature(Distribution::section_view(block, dom.dims())));
-}
-
-namespace {
-
-/// The PlanKey bytes of a single distribution (no pins expected).
+/// The PlanKey bytes of a single distribution.
 std::string key_of(const Distribution& dist) {
   PlanKey k;
   k.add_distribution(dist);
   return k.str();
 }
 
-}  // namespace
+TEST_F(PlanReplayTest, ContentSignatureCoverage) {
+  // Every payload kind keys by content: formats (including table-backed
+  // INDIRECT/USER ones, which digest their bound owner tables), constructed
+  // payloads over any base, section views, and explicit maps. A second
+  // payload minted from the same specification at another address keys
+  // identically.
+  const IndexDomain dom{Dim(1, 16)};
+  const ProcessorRef q(ps_.find("Q"));
+  auto block = [&] {
+    return Distribution::formats(dom, {DistFormat::block()}, q);
+  };
+  auto indirect = [&] {
+    return Distribution::formats(
+        dom, {DistFormat::indirect(std::vector<Extent>(16, 1))}, q);
+  };
+  auto over = [&](const Distribution& base) {
+    return Distribution::constructed(AlignmentFunction::identity(dom, dom),
+                                     base);
+  };
+  const std::vector<std::function<Distribution()>> kinds = {
+      block,
+      [&] { return over(block()); },
+      [&] { return over(over(block())); },
+      indirect,
+      [&] { return over(indirect()); },
+      [&] { return block().materialize(); },
+      [&] { return Distribution::section_view(block(), dom.dims()); },
+  };
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    const Distribution a = kinds[i]();
+    const Distribution b = kinds[i]();
+    ASSERT_NE(a.payload_identity(), b.payload_identity()) << "kind " << i;
+    EXPECT_EQ(key_of(a), key_of(b)) << "kind " << i;
+  }
+}
+
+TEST(PlanKeyTest, InvalidDistributionThrowsInternalError) {
+  // There is no address fallback: a layout without a content signature
+  // cannot key a plan.
+  EXPECT_THROW(key_of(Distribution()), InternalError);
+}
 
 TEST_F(PlanReplayTest, AddressDistinctSectionViewsKeyIdentically) {
   // Two section-view payloads minted separately — exactly what every
@@ -977,10 +990,9 @@ TEST_F(PlanReplayTest, RealignedArrayDoesNotReplayStalePlan) {
 // --- recycled payload addresses can never alias a plan key ------------------
 
 TEST_F(PlanReplayTest, RecycledPayloadAddressDoesNotReplayStalePlan) {
-  // Historically explicit payloads keyed by address (+ generation id);
-  // today they key by content digest, which makes address recycling
-  // structurally irrelevant — a different mapping at the same address
-  // digests differently, so the stale plan cannot replay. Keep simulating
+  // Explicit payloads key by content digest, which makes address
+  // recycling structurally irrelevant — a different mapping at the same
+  // address digests differently, so the stale plan cannot replay. Simulate
   // the hazardous sequence end to end: an entry whose payload has been
   // released and whose address the allocator hands to a different mapping.
   const IndexDomain dom{Dim(1, 8)};
@@ -1002,7 +1014,7 @@ TEST_F(PlanReplayTest, RecycledPayloadAddressDoesNotReplayStalePlan) {
     stale_key = k.str();
     auto plan = std::make_shared<CommPlan>();
     plan->sealed = true;
-    cache.insert(stale_key, std::move(plan), {});  // entry without pins
+    cache.insert(stale_key, std::move(plan));
   }  // d1's payload dies; its address can now be recycled
 
   // Allocate same-shaped payloads until one lands on the old address (with
@@ -1062,14 +1074,14 @@ TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedAndCounts) {
   PlanCache cache;
   cache.set_capacity(2);
   EXPECT_EQ(cache.capacity(), 2u);
-  cache.insert("a", sealed(), {});
-  cache.insert("b", sealed(), {});
+  cache.insert("a", sealed());
+  cache.insert("b", sealed());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0);
 
   // Touch "a" so "b" becomes the LRU victim.
   EXPECT_NE(cache.lookup("a"), nullptr);
-  cache.insert("c", sealed(), {});
+  cache.insert("c", sealed());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1);
   EXPECT_NE(cache.lookup("a"), nullptr);
@@ -1079,7 +1091,7 @@ TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedAndCounts) {
   EXPECT_EQ(cache.misses(), 1);
 
   // Re-inserting an existing key refreshes, never evicts.
-  cache.insert("c", sealed(), {});
+  cache.insert("c", sealed());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1);
 
@@ -1090,7 +1102,7 @@ TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedAndCounts) {
   EXPECT_NE(cache.lookup("c"), nullptr);  // most recently touched survives
 
   // An unsealed plan is never cached.
-  cache.insert("u", std::make_shared<CommPlan>(), {});
+  cache.insert("u", std::make_shared<CommPlan>());
   EXPECT_EQ(cache.lookup("u"), nullptr);
 }
 
@@ -1104,7 +1116,7 @@ TEST(PlanCacheLruTest, ChurningOneShotKeysNeverGrowsPastCapacity) {
   };
   PlanCache cache;
   for (int i = 0; i < 1000; ++i) {
-    cache.insert(cat("key", i), sealed(), {});
+    cache.insert(cat("key", i), sealed());
     EXPECT_LE(cache.size(), cache.capacity());
   }
   EXPECT_EQ(cache.size(), cache.capacity());

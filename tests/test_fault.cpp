@@ -256,21 +256,27 @@ std::shared_ptr<const CommPlan> plan_touching(std::vector<ApId> procs) {
 TEST(EpochInvalidation, PlanCacheDropsPlansReferencingTheDeadProcessor) {
   Machine machine(8);
   PlanCache cache;
-  cache.insert("hot", plan_touching({0, 2, 5}), {});
-  cache.insert("cold", plan_touching({1, 3}), {});
+  cache.insert("hot", plan_touching({0, 2, 5}));
+  cache.insert("cold", plan_touching({1, 3}));
   EXPECT_NE(cache.lookup("hot", machine), nullptr);
 
   machine.fail_processor(5);
   EXPECT_EQ(cache.lookup("hot", machine), nullptr)
       << "a plan referencing a dead processor must never replay";
   EXPECT_EQ(cache.invalidations(), 1);
-  // A plan untouched by the failure survives, and its entry is stamped:
-  // the second lookup at the same epoch skips the intersection.
+  // A plan untouched by the failure survives repeated lookups.
   EXPECT_NE(cache.lookup("cold", machine), nullptr);
   EXPECT_NE(cache.lookup("cold", machine), nullptr);
   EXPECT_EQ(cache.invalidations(), 1);
   // The dropped key misses from then on (the entry is gone, not hidden).
   EXPECT_EQ(cache.lookup("hot"), nullptr);
+
+  // A plan that was clean at the first epoch is dropped once a later
+  // failure hits a processor it references.
+  machine.fail_processor(3);
+  EXPECT_EQ(cache.lookup("cold", machine), nullptr);
+  EXPECT_EQ(cache.invalidations(), 2);
+  EXPECT_EQ(cache.lookup("cold"), nullptr);
 }
 
 TEST(EpochInvalidation, PlanServiceDropsPlansReferencingTheDeadProcessor) {
@@ -289,6 +295,11 @@ TEST(EpochInvalidation, PlanServiceDropsPlansReferencingTheDeadProcessor) {
   EXPECT_EQ(svc.stats().invalidations(), 1);
   EXPECT_NE(svc.lookup("cold", machine), nullptr);
   EXPECT_EQ(svc.lookup("hot"), nullptr);  // erased, not masked
+
+  machine.fail_processor(3);
+  EXPECT_EQ(svc.lookup("cold", machine), nullptr);
+  EXPECT_EQ(svc.stats().invalidations(), 2);
+  EXPECT_EQ(svc.lookup("cold"), nullptr);
 }
 
 TEST(EpochInvalidation, SessionRepricesInsteadOfReplayingAfterLoss) {
