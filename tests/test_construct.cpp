@@ -210,7 +210,9 @@ std::vector<CollocationCase> all_cases() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CollocationLaw, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<CollocationCase>& info) {
-      return std::string(info.param.name) + "_dist" +
+      // The shift case, A(I) WITH B(I+7), carries its offset in its name.
+      const char* offset = info.param.alignment == 1 ? "_plus7" : "";
+      return std::string(info.param.name) + offset + "_dist" +
              std::to_string(info.param.distribution);
     });
 
